@@ -186,17 +186,15 @@ pub fn free_compatible(
         && !occupied.iter().any(|o| o.overlaps(candidate))
 }
 
-/// Enumerates every placement of an area free-compatible with `source`,
-/// excluding `source` itself and any placement overlapping `occupied`.
+/// Lists every placement of an area fabric-compatible with `source`,
+/// excluding `source` itself, in row-major order (top-to-bottom,
+/// left-to-right of the top-left corner).
 ///
-/// Candidates are returned in row-major order (top-to-bottom, left-to-right
-/// of their top-left corner). This is the ground truth used by tests and by
-/// the combinatorial floorplanning engine.
-pub fn enumerate_free_compatible(
-    partition: &FabricPartition,
-    source: &Rect,
-    occupied: &[Rect],
-) -> Vec<Rect> {
+/// The list depends only on the source rectangle, never on which areas are
+/// occupied, so callers that test the same source many times against
+/// changing occupancy (the combinatorial floorplanning engine) compute it
+/// once and filter it with [`Rect::overlaps`] afterwards.
+pub fn compatible_targets(partition: &FabricPartition, source: &Rect) -> Vec<Rect> {
     let mut out = Vec::new();
     if source.w > partition.cols || source.h > partition.rows {
         return out;
@@ -204,14 +202,32 @@ pub fn enumerate_free_compatible(
     for y in 1..=(partition.rows - source.h + 1) {
         for x in 1..=(partition.cols - source.w + 1) {
             let candidate = Rect::new(x, y, source.w, source.h);
-            if candidate == *source {
-                continue;
-            }
-            if free_compatible(partition, source, &candidate, occupied) {
+            if candidate != *source
+                && fabric_compatible(partition, source, &candidate).is_compatible()
+            {
                 out.push(candidate);
             }
         }
     }
+    out
+}
+
+/// Enumerates every placement of an area free-compatible with `source`,
+/// excluding `source` itself and any placement overlapping `occupied`.
+///
+/// This is [`compatible_targets`] with the placements overlapping
+/// `occupied` filtered out, so candidates keep its row-major order. Tests,
+/// the reservation passes of the other engines and the runtime's
+/// defragmenter call it directly; the combinatorial floorplanning engine
+/// keeps the unfiltered target lists of its candidate rectangles in a table
+/// built once per solve and applies the same filter at every search node.
+pub fn enumerate_free_compatible(
+    partition: &FabricPartition,
+    source: &Rect,
+    occupied: &[Rect],
+) -> Vec<Rect> {
+    let mut out = compatible_targets(partition, source);
+    out.retain(|c| !occupied.iter().any(|o| o.overlaps(c)));
     out
 }
 

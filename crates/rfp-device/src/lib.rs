@@ -49,8 +49,8 @@ pub mod resources;
 pub mod tile;
 
 pub use compat::{
-    areas_compatible, columnar_compatible, enumerate_free_compatible, fabric_compatible,
-    free_compatible, CompatReport,
+    areas_compatible, columnar_compatible, compatible_targets, enumerate_free_compatible,
+    fabric_compatible, free_compatible, CompatReport,
 };
 pub use devices::{
     figure1_device, figure2_device, xc5vfx70t, xc7vx485t, xc7z020, DeviceBuilder, SyntheticSpec,

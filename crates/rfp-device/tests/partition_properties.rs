@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use rfp_device::compat::{
-    areas_compatible, columnar_compatible, enumerate_free_compatible, fabric_compatible,
+    areas_compatible, columnar_compatible, compatible_targets, enumerate_free_compatible,
+    fabric_compatible, free_compatible,
 };
 use rfp_device::fabric::{fabric_partition, fabric_partition_with_boundaries};
 use rfp_device::{
@@ -227,5 +228,83 @@ proptest! {
         } else {
             prop_assert_eq!(verdict, oracle, "oracle disagreement for {} vs {}", a, b);
         }
+    }
+}
+
+/// A rectangle drawn from raw coordinates, clamped so it starts inside a
+/// `cols` x `rows` device (it may still stick out past the far edges).
+fn clamp_rect((x, y, w, h): (u32, u32, u32, u32), cols: u32, rows: u32) -> Rect {
+    Rect::new(x.min(cols), y.min(rows), w, h)
+}
+
+/// Asserts that [`compatible_targets`] filtered by `occupied` is exactly
+/// [`enumerate_free_compatible`], element for element, and that both match
+/// a brute-force row-major scan with [`free_compatible`].
+fn assert_targets_match_enumeration(
+    partition: &rfp_device::FabricPartition,
+    source: &Rect,
+    occupied: &[Rect],
+) -> Result<(), TestCaseError> {
+    let filtered: Vec<Rect> = compatible_targets(partition, source)
+        .into_iter()
+        .filter(|t| !occupied.iter().any(|o| o.overlaps(t)))
+        .collect();
+    let enumerated = enumerate_free_compatible(partition, source, occupied);
+    prop_assert_eq!(&filtered, &enumerated, "table/enumeration disagreement for {}", source);
+    let mut brute = Vec::new();
+    for y in 1..=partition.rows {
+        for x in 1..=partition.cols {
+            let c = Rect::new(x, y, source.w, source.h);
+            if c != *source && free_compatible(partition, source, &c, occupied) {
+                brute.push(c);
+            }
+        }
+    }
+    prop_assert_eq!(&filtered, &brute, "table/brute-force disagreement for {}", source);
+    Ok(())
+}
+
+type RawRect = (u32, u32, u32, u32);
+
+fn arb_raw_rect() -> impl Strategy<Value = RawRect> {
+    (1u32..40, 1u32..10, 1u32..6, 1u32..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Columnar fabrics with and without forbidden areas (hard blocks) and
+    /// die boundaries: the compatible-target list filtered by occupancy is
+    /// the free-compatible enumeration, in the same row-major order.
+    #[test]
+    fn compatible_targets_filter_to_the_enumeration_on_columnar_fabrics(
+        spec in arb_spec(),
+        raw_bounds in proptest::collection::vec(1u32..10, 0..3),
+        src in arb_raw_rect(),
+        occ in proptest::collection::vec(arb_raw_rect(), 0..4),
+    ) {
+        let device = spec.build().unwrap();
+        let (cols, rows) = (device.grid.cols(), device.grid.rows());
+        let bounds: Vec<u32> = raw_bounds.into_iter().filter(|&b| b < rows).collect();
+        let partition = fabric_partition_with_boundaries(&device, &bounds).unwrap();
+        let source = clamp_rect(src, cols, rows);
+        let occupied: Vec<Rect> = occ.into_iter().map(|r| clamp_rect(r, cols, rows)).collect();
+        assert_targets_match_enumeration(&partition, &source, &occupied)?;
+    }
+
+    /// The same equivalence on genuinely heterogeneous fabrics (per-cell
+    /// tile types) with random die boundaries.
+    #[test]
+    fn compatible_targets_filter_to_the_enumeration_on_hetero_fabrics(
+        devb in arb_hetero_device(),
+        src in (1u32..10, 1u32..8, 1u32..5, 1u32..5),
+        occ in proptest::collection::vec((1u32..10, 1u32..8, 1u32..4, 1u32..4), 0..4),
+    ) {
+        let (device, boundaries) = devb;
+        let partition = fabric_partition_with_boundaries(&device, &boundaries).unwrap();
+        let (cols, rows) = (partition.cols, partition.rows);
+        let source = clamp_rect(src, cols, rows);
+        let occupied: Vec<Rect> = occ.into_iter().map(|r| clamp_rect(r, cols, rows)).collect();
+        assert_targets_match_enumeration(&partition, &source, &occupied)?;
     }
 }

@@ -18,6 +18,16 @@
 //! * relocation-as-a-metric packs as many of the requested areas as possible
 //!   and reports the rest as missing.
 //!
+//! Which areas are compatible with a rectangle depends only on that
+//! rectangle, never on what is occupied. So before searching, the engine
+//! builds a **target table**: for every candidate of every region with a
+//! relocation request, the list of its fabric-compatible targets
+//! ([`compatible_targets`]) in row-major order, packed into one flat arena.
+//! The search tracks the candidate index of each placed region; the
+//! relocation pruning at every node and the packer at every leaf then only
+//! filter that candidate's list against the occupied rectangles, and the
+//! pruning stops counting once a request's count is reached.
+//!
 //! Node and time limits make the engine usable inside benchmarks; the result
 //! reports whether optimality was proven.
 //!
@@ -34,7 +44,7 @@ use crate::engine::SolveControl;
 use crate::error::FloorplanError;
 use crate::placement::{FcPlacement, Floorplan};
 use crate::problem::{FloorplanProblem, RelocationMode};
-use rfp_device::compat::enumerate_free_compatible;
+use rfp_device::compat::compatible_targets;
 use rfp_device::Rect;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,13 +137,59 @@ struct ParShared {
     nodes: AtomicU64,
 }
 
+/// Fabric-compatible targets of every candidate of every region with a
+/// relocation request, built once per solve and read by reference by the
+/// serial search, the prefix expansion and every parallel worker.
+struct TargetTables {
+    /// Device width, to unpack the corners.
+    cols: u32,
+    /// Per region: the start of each candidate's run in `corners`, plus the
+    /// end of the last run. Empty for regions without a relocation request.
+    starts: Vec<Vec<usize>>,
+    /// Top-left corners of the targets as row-major cell indices,
+    /// `(y - 1) * cols + (x - 1)`; a target has its source's size. The runs
+    /// of all candidates are concatenated, each in row-major order.
+    corners: Vec<u32>,
+}
+
+impl TargetTables {
+    fn build(problem: &FloorplanProblem, candidates: &[Vec<Candidate>]) -> Self {
+        let cols = problem.partition.cols;
+        let mut starts = vec![Vec::new(); candidates.len()];
+        let mut corners = Vec::new();
+        for req in &problem.relocation {
+            let runs = &mut starts[req.region];
+            if !runs.is_empty() {
+                continue;
+            }
+            runs.push(corners.len());
+            for cand in &candidates[req.region] {
+                let targets = compatible_targets(&problem.partition, &cand.rect);
+                corners.extend(targets.iter().map(|t| (t.y - 1) * cols + (t.x - 1)));
+                runs.push(corners.len());
+            }
+        }
+        TargetTables { cols, starts, corners }
+    }
+
+    /// The compatible targets of candidate `ci` of `region`, whose rectangle
+    /// is `source`, in row-major order.
+    fn targets(&self, region: usize, ci: usize, source: Rect) -> impl Iterator<Item = Rect> + '_ {
+        let runs = &self.starts[region];
+        self.corners[runs[ci]..runs[ci + 1]]
+            .iter()
+            .map(move |&c| Rect::new(c % self.cols + 1, c / self.cols + 1, source.w, source.h))
+    }
+}
+
 struct SearchCtx<'a> {
     problem: &'a FloorplanProblem,
     /// Region order (most constrained first); `order[i]` is a region index.
-    order: Vec<usize>,
+    order: &'a [usize],
     /// Candidates per region (indexed by region id).
-    candidates: Vec<Vec<Candidate>>,
-    /// Connections grouped for incremental wire-length computation.
+    candidates: &'a [Vec<Candidate>],
+    /// Compatible targets per region and candidate.
+    tables: &'a TargetTables,
     config: &'a CombinatorialConfig,
     ctl: &'a SolveControl,
     start: Instant,
@@ -144,9 +200,13 @@ struct SearchCtx<'a> {
     cancelled: bool,
     /// Current partial placement, indexed by region id.
     placed: Vec<Option<Rect>>,
+    /// Candidate index of each placed region (meaningless for the others).
+    placed_ci: Vec<usize>,
+    /// Scratch list of occupied rectangles for the leaf packer.
+    occupied: Vec<Rect>,
     best: Option<(u64, f64, Floorplan)>,
     /// Minimum waste per region (for the lower bound).
-    min_waste: Vec<u64>,
+    min_waste: &'a [u64],
     /// Present when this context is one worker of a parallel solve; the
     /// incumbent then lives in the shared state, not in `best`.
     shared: Option<&'a ParShared>,
@@ -250,59 +310,49 @@ impl<'a> SearchCtx<'a> {
         wl
     }
 
-    fn occupied(&self) -> Vec<Rect> {
-        self.placed.iter().filter_map(|r| *r).collect()
+    /// The compatible targets of the placed `region`'s candidate.
+    fn targets(&self, region: usize) -> impl Iterator<Item = Rect> + '_ {
+        let source = self.placed[region].expect("all regions placed");
+        self.tables.targets(region, self.placed_ci[region], source)
     }
 
     /// Packs the requested free-compatible areas given the fully-placed
-    /// regions. Returns `None` if a constraint-mode area cannot be packed;
-    /// otherwise returns the placements (metric-mode areas may be missing).
-    fn pack_fc_areas(&self) -> Option<Vec<FcPlacement>> {
+    /// regions, whose rectangles `occupied` holds on entry. Returns `None`
+    /// if a constraint-mode area cannot be packed; otherwise returns the
+    /// placements (metric-mode areas may be missing).
+    fn pack_fc_areas(&self, occupied: &mut Vec<Rect>) -> Option<Vec<FcPlacement>> {
         let fc = self.problem.fc_areas();
         if fc.is_empty() {
             return Some(Vec::new());
         }
-        let mut occupied = self.occupied();
-        let mut placements: Vec<FcPlacement> = Vec::with_capacity(fc.len());
-        // Constraint-mode areas first (they can fail the whole packing),
-        // then metric-mode areas greedily.
-        let mut order: Vec<usize> = (0..fc.len()).collect();
-        order.sort_by_key(|&i| match fc[i].2 {
-            RelocationMode::Constraint => 0,
-            RelocationMode::Metric { .. } => 1,
-        });
-        // Backtracking packer over the constraint-mode areas.
-        let constraint_idx: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| matches!(fc[i].2, RelocationMode::Constraint))
-            .collect();
-        let metric_idx: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| matches!(fc[i].2, RelocationMode::Metric { .. }))
-            .collect();
-
+        // Constraint-mode areas first, by backtracking (they can fail the
+        // whole packing), then metric-mode areas greedily.
+        let (constraint_idx, metric_idx): (Vec<usize>, Vec<usize>) =
+            (0..fc.len()).partition(|&i| matches!(fc[i].2, RelocationMode::Constraint));
         let mut chosen: Vec<Option<Rect>> = vec![None; fc.len()];
-        if !self.pack_constraints(&fc, &constraint_idx, 0, &mut occupied, &mut chosen) {
+        if !self.pack_constraints(&fc, &constraint_idx, 0, occupied, &mut chosen) {
             return None;
         }
-        // Greedy packing of the metric-mode areas.
         for &i in &metric_idx {
-            let source = self.placed[fc[i].1].expect("all regions placed");
-            let options = enumerate_free_compatible(&self.problem.partition, &source, &occupied);
-            if let Some(rect) = options.first().copied() {
+            let first_free =
+                self.targets(fc[i].1).find(|t| !occupied.iter().any(|o| o.overlaps(t)));
+            if let Some(rect) = first_free {
                 occupied.push(rect);
                 chosen[i] = Some(rect);
             }
         }
-        for (i, &(request, region, mode)) in fc.iter().enumerate() {
-            placements.push(FcPlacement { request, region, mode, rect: chosen[i] });
-        }
-        Some(placements)
+        Some(
+            fc.iter()
+                .zip(chosen)
+                .map(|(&(request, region, mode), rect)| FcPlacement { request, region, mode, rect })
+                .collect(),
+        )
     }
 
     /// Depth-first packing of the constraint-mode free-compatible areas.
+    /// `occupied` is back to its entry state whenever a branch fails, so
+    /// filtering the targets lazily visits the same options in the same
+    /// order as filtering them up front.
     fn pack_constraints(
         &self,
         fc: &[(usize, usize, RelocationMode)],
@@ -315,9 +365,10 @@ impl<'a> SearchCtx<'a> {
             return true;
         }
         let i = idx[depth];
-        let source = self.placed[fc[i].1].expect("all regions placed");
-        let options = enumerate_free_compatible(&self.problem.partition, &source, occupied);
-        for rect in options {
+        for rect in self.targets(fc[i].1) {
+            if occupied.iter().any(|o| o.overlaps(&rect)) {
+                continue;
+            }
             occupied.push(rect);
             chosen[i] = Some(rect);
             if self.pack_constraints(fc, idx, depth + 1, occupied, chosen) {
@@ -352,7 +403,12 @@ impl<'a> SearchCtx<'a> {
 
         if level == self.order.len() {
             // All regions placed: try to pack the free-compatible areas.
-            let Some(fc_areas) = self.pack_fc_areas() else { return };
+            let mut occupied = std::mem::take(&mut self.occupied);
+            occupied.clear();
+            occupied.extend(self.placed.iter().flatten());
+            let packed = self.pack_fc_areas(&mut occupied);
+            self.occupied = occupied;
+            let Some(fc_areas) = packed else { return };
             let floorplan = Floorplan {
                 regions: self
                     .placed
@@ -381,7 +437,8 @@ impl<'a> SearchCtx<'a> {
                 continue;
             }
             self.placed[region] = Some(cand.rect);
-            if fc_still_possible(self.problem, &self.placed) {
+            self.placed_ci[region] = ci;
+            if fc_still_possible(self.problem, self.tables, &self.placed, &self.placed_ci) {
                 self.dfs(level + 1, waste_so_far + cand.waste);
             }
             self.placed[region] = None;
@@ -392,19 +449,30 @@ impl<'a> SearchCtx<'a> {
     }
 }
 
-/// Quick necessary condition: every constraint-mode area of already-placed
-/// regions still has at least one compatible placement ignoring the
-/// not-yet-placed regions. Free function so the prefix-expansion phase of the
-/// parallel solve applies the same pruning as the DFS.
-fn fc_still_possible(problem: &FloorplanProblem, placed: &[Option<Rect>]) -> bool {
-    let occupied: Vec<Rect> = placed.iter().filter_map(|r| *r).collect();
+/// Quick necessary condition: every constraint-mode request of an
+/// already-placed region still has `count` compatible targets that overlap
+/// no placed region (ignoring the not-yet-placed regions and the other
+/// requests). `placed_ci` holds the candidate index of each placed region.
+/// Free function so the prefix-expansion phase of the parallel solve
+/// applies the same pruning as the DFS.
+fn fc_still_possible(
+    problem: &FloorplanProblem,
+    tables: &TargetTables,
+    placed: &[Option<Rect>],
+    placed_ci: &[usize],
+) -> bool {
     for req in &problem.relocation {
         if !matches!(req.mode, RelocationMode::Constraint) {
             continue;
         }
         let Some(source) = placed[req.region] else { continue };
-        let options = enumerate_free_compatible(&problem.partition, &source, &occupied);
-        if (options.len() as u32) < req.count {
+        let count = req.count as usize;
+        let free = tables
+            .targets(req.region, placed_ci[req.region], source)
+            .filter(|t| !placed.iter().flatten().any(|o| o.overlaps(t)))
+            .take(count)
+            .count();
+        if free < count {
             return false;
         }
     }
@@ -472,6 +540,7 @@ pub fn solve_combinatorial_with_control(
     } else {
         None
     };
+    let tables = TargetTables::build(problem, &candidates);
 
     if config.threads > 1 && !problem.regions.is_empty() && !ctl.cancel.is_cancelled() {
         return solve_parallel(SolveParts {
@@ -483,13 +552,15 @@ pub fn solve_combinatorial_with_control(
             order,
             candidates,
             min_waste,
+            tables,
         });
     }
 
     let mut ctx = SearchCtx {
         problem,
-        order,
-        candidates,
+        order: &order,
+        candidates: &candidates,
+        tables: &tables,
         config,
         ctl,
         start,
@@ -499,8 +570,10 @@ pub fn solve_combinatorial_with_control(
         aborted: false,
         cancelled: ctl.cancel.is_cancelled(),
         placed: vec![None; problem.regions.len()],
+        placed_ci: vec![0; problem.regions.len()],
+        occupied: Vec::new(),
         best: None,
-        min_waste,
+        min_waste: &min_waste,
         shared: None,
     };
     if ctx.cancelled {
@@ -546,12 +619,14 @@ struct SolveParts<'a> {
     order: Vec<usize>,
     candidates: Vec<Vec<Candidate>>,
     min_waste: Vec<u64>,
+    tables: TargetTables,
 }
 
 /// A serially-expanded placement of the first `depth` regions of the search
 /// order: the root of one disjoint subtree handed to a parallel worker.
 struct Prefix {
     placed: Vec<Option<Rect>>,
+    placed_ci: Vec<usize>,
     waste: u64,
 }
 
@@ -566,12 +641,14 @@ const PREFIX_FANOUT: usize = 8;
 /// visit. Workers then exhaust disjoint prefix subtrees against a shared
 /// incumbent; an empty expansion level is already a proof of infeasibility.
 fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, FloorplanError> {
-    let SolveParts { problem, config, ctl, start, deadline, order, candidates, min_waste } = parts;
+    let SolveParts { problem, config, ctl, start, deadline, order, candidates, min_waste, tables } =
+        parts;
     let threads = config.threads;
 
     // Serial prefix expansion. Each generated child corresponds to one node
     // the serial DFS would have expanded, and is counted as such.
-    let mut prefixes = vec![Prefix { placed: vec![None; problem.regions.len()], waste: 0 }];
+    let n = problem.regions.len();
+    let mut prefixes = vec![Prefix { placed: vec![None; n], placed_ci: vec![0; n], waste: 0 }];
     let mut depth = 0usize;
     let mut expansion_nodes: u64 = 1; // the root
     while depth < order.len() && prefixes.len() < threads * PREFIX_FANOUT {
@@ -589,15 +666,17 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
         let region = order[depth];
         let mut next = Vec::new();
         for p in &prefixes {
-            for cand in &candidates[region] {
+            for (ci, cand) in candidates[region].iter().enumerate() {
                 if p.placed.iter().flatten().any(|r| r.overlaps(&cand.rect)) {
                     continue;
                 }
                 let mut placed = p.placed.clone();
+                let mut placed_ci = p.placed_ci.clone();
                 placed[region] = Some(cand.rect);
-                if fc_still_possible(problem, &placed) {
+                placed_ci[region] = ci;
+                if fc_still_possible(problem, &tables, &placed, &placed_ci) {
                     expansion_nodes += 1;
-                    next.push(Prefix { placed, waste: p.waste + cand.waste });
+                    next.push(Prefix { placed, placed_ci, waste: p.waste + cand.waste });
                 }
             }
         }
@@ -639,11 +718,13 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
             let order = &order;
             let candidates = &candidates;
             let min_waste = &min_waste;
+            let tables = &tables;
             s.spawn(move || {
                 let mut ctx = SearchCtx {
                     problem,
-                    order: order.clone(),
-                    candidates: candidates.clone(),
+                    order,
+                    candidates,
+                    tables,
                     config,
                     ctl,
                     start,
@@ -652,9 +733,11 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                     nodes: 0,
                     aborted: false,
                     cancelled: false,
-                    placed: vec![None; problem.regions.len()],
+                    placed: vec![None; n],
+                    placed_ci: vec![0; n],
+                    occupied: Vec::new(),
                     best: None,
-                    min_waste: min_waste.clone(),
+                    min_waste,
                     shared: Some(shared),
                 };
                 for p in assigned {
@@ -662,6 +745,7 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                         break;
                     }
                     ctx.placed.clone_from(&p.placed);
+                    ctx.placed_ci.clone_from(&p.placed_ci);
                     ctx.dfs(depth, p.waste);
                     if ctx.aborted {
                         break;

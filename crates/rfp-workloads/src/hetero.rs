@@ -152,14 +152,16 @@ fn clb_bram_types(
 /// An 8x4 fabric whose columns 3 and 6 are BRAM on rows 1-2 and CLB on rows
 /// 3-4 (no columnar partition exists), with one die boundary between rows 2
 /// and 3. Three regions: a relocatable all-CLB region with two
-/// free-compatible areas requested in **metric** mode — the all-CLB band
-/// below the boundary holds three disjoint compatible windows, so the
-/// relocation-aware engines reserve both without crossing the boundary,
-/// while the relocation-unaware baselines may legally (if expensively)
-/// leave them unidentified and all five registry engines solve the
-/// instance — plus a BRAM consumer and a second CLB region, chained by a
-/// 16-bit bus. [`hetero_constraint_problem`] is the hard-constraint
-/// variant.
+/// free-compatible areas requested in **metric** mode, plus a BRAM consumer
+/// and a second CLB region, chained by a 16-bit bus. All five registry
+/// engines solve the instance. The metric request is *not* met: the proven
+/// optima of the relocation-aware engines (`milp`, `ho`, `combinatorial`)
+/// place the relocatable region as a 1x4 column spanning the die boundary
+/// (zero waste, wire length 32), and an area spanning a die boundary has no
+/// compatible target, so they reserve 0 of the 2 areas.
+/// [`hetero_constraint_problem`] is the hard-constraint variant, under
+/// which those engines keep the region off the boundary and reserve both
+/// areas.
 pub fn hetero_golden_problem() -> FloorplanProblem {
     let mut problem = hetero_constraint_problem();
     problem.relocation.clear();
