@@ -28,9 +28,12 @@ use std::time::{Duration, Instant};
 const DISTINCT: usize = 3;
 
 /// One mid-size problem per variant: same 14x4 device, different region
-/// loads. Big enough that a cold combinatorial solve costs real work (the
-/// placement enumeration over four regions), small enough that the stream
-/// finishes in seconds.
+/// loads, the four regions connected in a chain. Big enough that a cold
+/// combinatorial solve costs real work (the placement enumeration over four
+/// regions, with wire length as the tie-breaker among equal-waste
+/// floorplans), small enough that the stream finishes in seconds. Without
+/// the connections every floorplan has wire length 0 and the engine proves
+/// the optimum in microseconds, leaving the cache nothing to save.
 fn problem(variant: usize) -> FloorplanProblem {
     let mut b = DeviceBuilder::new("serve-load");
     let clb = b.tile_type("CLB", ResourceVec::new(1, 0, 0), 36);
@@ -38,10 +41,11 @@ fn problem(variant: usize) -> FloorplanProblem {
     b.rows(4).columns(&[clb, clb, bram, clb, clb, clb, bram, clb, clb, clb, bram, clb, clb, clb]);
     let mut p = FloorplanProblem::new(columnar_partition(&b.build().unwrap()).unwrap());
     p.weights = ObjectiveWeights::area_only();
-    p.add_region(RegionSpec::new("A", vec![(clb, 4), (bram, 1)]));
-    p.add_region(RegionSpec::new("B", vec![(clb, 2 + (variant as u32 % 3))]));
-    p.add_region(RegionSpec::new("C", vec![(clb, 3), (bram, 1)]));
-    p.add_region(RegionSpec::new("D", vec![(clb, 2)]));
+    let a = p.add_region(RegionSpec::new("A", vec![(clb, 4), (bram, 1)]));
+    let b = p.add_region(RegionSpec::new("B", vec![(clb, 2 + (variant as u32 % 3))]));
+    let c = p.add_region(RegionSpec::new("C", vec![(clb, 3), (bram, 1)]));
+    let d = p.add_region(RegionSpec::new("D", vec![(clb, 2)]));
+    p.connect_chain(&[a, b, c, d], 1.0);
     p
 }
 

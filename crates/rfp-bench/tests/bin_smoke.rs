@@ -119,8 +119,9 @@ fn serve_load_shows_the_cache_speedup_and_writes_json() {
     assert!(json.contains("\"cache_hits\""), "bad JSON:\n{json}");
     // The acceptance bar of the solve service: a repeat-heavy stream must be
     // at least 2x faster with the outcome cache on. The margin is wide (a
-    // cache hit is microseconds, a cold solve hundreds of milliseconds), so
-    // this is safe to assert even on noisy CI machines.
+    // cache hit is microseconds, a cold solve of the stream's connected
+    // four-region problems a hundred milliseconds or more), so this is safe
+    // to assert even on noisy CI machines.
     let speedup: f64 = json
         .split("\"speedup\":")
         .nth(1)

@@ -28,6 +28,25 @@
 //! filter that candidate's list against the occupied rectangles, and the
 //! pruning stops counting once a request's count is reached.
 //!
+//! Three rules cut the tree, each computed once per solve
+//! ([`Pruning`]) and each cutting only subtrees that cannot change the
+//! result, so the serial search returns bit-identical floorplans with or
+//! without them and only the node count shrinks:
+//!
+//! * **waste bound** — the waste placed so far plus the minimum waste of
+//!   every unplaced region (a suffix sum over the search order) is a lower
+//!   bound on any leaf below; a node whose bound exceeds the incumbent's
+//!   waste holds no better leaf;
+//! * **capacity bound** — regions are disjoint rectangles, so the area
+//!   placed so far plus the minimum candidate area of every unplaced region
+//!   can never exceed the device's `rows × cols` tiles in a feasible leaf.
+//!   An over-capacity instance is proven infeasible at the root, one node;
+//! * **tie cutoff** — a node whose waste bound *equals* the incumbent's
+//!   waste can only matter by breaking the tie on wire length. Without
+//!   connections every floorplan has wire length 0, an equal-waste leaf can
+//!   never replace the incumbent, and such nodes are cut exactly as with
+//!   [`CombinatorialConfig::optimize_wirelength`] off.
+//!
 //! Node and time limits make the engine usable inside benchmarks; the result
 //! reports whether optimality was proven.
 //!
@@ -63,7 +82,11 @@ pub struct CombinatorialConfig {
     /// Return the first feasible floorplan found instead of optimising.
     pub first_feasible: bool,
     /// Optimise weighted wire length as a secondary criterion (lexicographic
-    /// after wasted frames).
+    /// after wasted frames). A problem without connections has wire length 0
+    /// in every floorplan, so there the search skips the tie-breaking
+    /// subtrees (those whose waste bound equals the incumbent's) whatever
+    /// this flag says: they could never replace the incumbent, so the
+    /// result is the same floorplan with fewer nodes.
     pub optimize_wirelength: bool,
     /// Worker threads for the prefix-split parallel search (`0` or `1` =
     /// serial). The serial node order — and thus the node count — is
@@ -182,6 +205,54 @@ impl TargetTables {
     }
 }
 
+/// The pruning rules of one solve (see the module docs), built once and
+/// read by reference by the serial search, the prefix expansion and every
+/// parallel worker.
+struct Pruning {
+    /// `waste_lb[level]`: minimum wasted frames of the regions
+    /// `order[level..]`, one entry per level plus a trailing 0.
+    waste_lb: Vec<u64>,
+    /// `area_lb[level]`: minimum area in tiles of the regions
+    /// `order[level..]`, laid out like `waste_lb`.
+    area_lb: Vec<u64>,
+    /// Tiles of the device, `rows × cols`.
+    cells: u64,
+    /// Whether an equal-waste leaf may still replace the incumbent: wire
+    /// length is optimised and the problem has connections to measure it.
+    tie_break: bool,
+}
+
+impl Pruning {
+    fn new(
+        problem: &FloorplanProblem,
+        config: &CombinatorialConfig,
+        order: &[usize],
+        candidates: &[Vec<Candidate>],
+    ) -> Self {
+        let mut waste_lb = vec![0u64; order.len() + 1];
+        let mut area_lb = vec![0u64; order.len() + 1];
+        for (level, &r) in order.iter().enumerate().rev() {
+            let cands = &candidates[r];
+            // Candidates come in increasing-waste order.
+            waste_lb[level] = waste_lb[level + 1] + cands[0].waste;
+            area_lb[level] = area_lb[level + 1]
+                + cands.iter().map(|c| c.rect.area()).min().expect("every region has candidates");
+        }
+        Pruning {
+            waste_lb,
+            area_lb,
+            cells: u64::from(problem.partition.rows) * u64::from(problem.partition.cols),
+            tie_break: config.optimize_wirelength && !problem.connections.is_empty(),
+        }
+    }
+
+    /// `true` when `area` tiles placed plus the smallest areas of the
+    /// regions `order[level..]` no longer fit the device.
+    fn over_capacity(&self, level: usize, area: u64) -> bool {
+        area + self.area_lb[level] > self.cells
+    }
+}
+
 struct SearchCtx<'a> {
     problem: &'a FloorplanProblem,
     /// Region order (most constrained first); `order[i]` is a region index.
@@ -205,8 +276,8 @@ struct SearchCtx<'a> {
     /// Scratch list of occupied rectangles for the leaf packer.
     occupied: Vec<Rect>,
     best: Option<(u64, f64, Floorplan)>,
-    /// Minimum waste per region (for the lower bound).
-    min_waste: &'a [u64],
+    /// Lower bounds and the tie rule.
+    pruning: &'a Pruning,
     /// Present when this context is one worker of a parallel solve; the
     /// incumbent then lives in the shared state, not in `best`.
     shared: Option<&'a ParShared>,
@@ -271,7 +342,7 @@ impl<'a> SearchCtx<'a> {
         let improves = |cur: &Option<(u64, f64, Floorplan)>| match cur {
             None => true,
             Some((bw, bwl, _)) => {
-                waste < *bw || (waste == *bw && self.config.optimize_wirelength && wl + 1e-9 < *bwl)
+                waste < *bw || (waste == *bw && self.pruning.tie_break && wl + 1e-9 < *bwl)
             }
         };
         match self.shared {
@@ -380,7 +451,7 @@ impl<'a> SearchCtx<'a> {
         false
     }
 
-    fn dfs(&mut self, level: usize, waste_so_far: u64) {
+    fn dfs(&mut self, level: usize, waste_so_far: u64, area_so_far: u64) {
         if self.time_up() {
             return;
         }
@@ -389,14 +460,13 @@ impl<'a> SearchCtx<'a> {
             sh.nodes.fetch_add(1, Ordering::Relaxed);
         }
 
+        if self.pruning.over_capacity(level, area_so_far) {
+            return;
+        }
         // Bound: waste so far plus the best-case waste of the remaining regions.
-        let remaining_min: u64 = self.order[level..].iter().map(|&r| self.min_waste[r]).sum();
         if let Some(best_waste) = self.incumbent_waste() {
-            let lb = waste_so_far + remaining_min;
-            if lb > best_waste {
-                return;
-            }
-            if !self.config.optimize_wirelength && lb == best_waste {
+            let lb = waste_so_far + self.pruning.waste_lb[level];
+            if lb > best_waste || (lb == best_waste && !self.pruning.tie_break) {
                 return;
             }
         }
@@ -439,7 +509,7 @@ impl<'a> SearchCtx<'a> {
             self.placed[region] = Some(cand.rect);
             self.placed_ci[region] = ci;
             if fc_still_possible(self.problem, self.tables, &self.placed, &self.placed_ci) {
-                self.dfs(level + 1, waste_so_far + cand.waste);
+                self.dfs(level + 1, waste_so_far + cand.waste, area_so_far + cand.rect.area());
             }
             self.placed[region] = None;
             if self.aborted {
@@ -515,7 +585,6 @@ pub fn solve_combinatorial_with_control(
     let start = Instant::now();
 
     let mut candidates = Vec::with_capacity(problem.regions.len());
-    let mut min_waste = Vec::with_capacity(problem.regions.len());
     for spec in &problem.regions {
         let cands = enumerate_candidates(&problem.partition, spec, &config.candidates);
         if cands.is_empty() {
@@ -524,7 +593,6 @@ pub fn solve_combinatorial_with_control(
                 detail: "no candidate placement satisfies the requirement".to_string(),
             });
         }
-        min_waste.push(cands[0].waste);
         candidates.push(cands);
     }
 
@@ -541,6 +609,7 @@ pub fn solve_combinatorial_with_control(
         None
     };
     let tables = TargetTables::build(problem, &candidates);
+    let pruning = Pruning::new(problem, config, &order, &candidates);
 
     if config.threads > 1 && !problem.regions.is_empty() && !ctl.cancel.is_cancelled() {
         return solve_parallel(SolveParts {
@@ -551,7 +620,7 @@ pub fn solve_combinatorial_with_control(
             deadline,
             order,
             candidates,
-            min_waste,
+            pruning,
             tables,
         });
     }
@@ -573,13 +642,13 @@ pub fn solve_combinatorial_with_control(
         placed_ci: vec![0; problem.regions.len()],
         occupied: Vec::new(),
         best: None,
-        min_waste: &min_waste,
+        pruning: &pruning,
         shared: None,
     };
     if ctx.cancelled {
         ctx.aborted = true;
     } else {
-        ctx.dfs(0, 0);
+        ctx.dfs(0, 0, 0);
     }
 
     let proven = !ctx.aborted;
@@ -618,7 +687,7 @@ struct SolveParts<'a> {
     deadline: Option<Instant>,
     order: Vec<usize>,
     candidates: Vec<Vec<Candidate>>,
-    min_waste: Vec<u64>,
+    pruning: Pruning,
     tables: TargetTables,
 }
 
@@ -628,6 +697,8 @@ struct Prefix {
     placed: Vec<Option<Rect>>,
     placed_ci: Vec<usize>,
     waste: u64,
+    /// Tiles covered by the placed regions.
+    area: u64,
 }
 
 /// Prefixes generated per worker thread before the parallel phase starts;
@@ -636,22 +707,40 @@ const PREFIX_FANOUT: usize = 8;
 
 /// The prefix-split parallel search. The expansion phase enumerates, level
 /// by level in the serial search order, every placement of the first few
-/// regions that survives the overlap and relocation pruning — so the
-/// prefixes partition exactly the part of the tree the serial DFS would
+/// regions that survives the overlap, capacity and relocation pruning — so
+/// the prefixes partition exactly the part of the tree the serial DFS would
 /// visit. Workers then exhaust disjoint prefix subtrees against a shared
-/// incumbent; an empty expansion level is already a proof of infeasibility.
+/// incumbent; an empty expansion level (or an over-capacity root) is
+/// already a proof of infeasibility.
 fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, FloorplanError> {
-    let SolveParts { problem, config, ctl, start, deadline, order, candidates, min_waste, tables } =
+    let SolveParts { problem, config, ctl, start, deadline, order, candidates, pruning, tables } =
         parts;
     let threads = config.threads;
 
     // Serial prefix expansion. Each generated child corresponds to one node
     // the serial DFS would have expanded, and is counted as such.
     let n = problem.regions.len();
-    let mut prefixes = vec![Prefix { placed: vec![None; n], placed_ci: vec![0; n], waste: 0 }];
+    let root = Prefix { placed: vec![None; n], placed_ci: vec![0; n], waste: 0, area: 0 };
+    let mut prefixes = if pruning.over_capacity(0, 0) { Vec::new() } else { vec![root] };
     let mut depth = 0usize;
     let mut expansion_nodes: u64 = 1; // the root
-    while depth < order.len() && prefixes.len() < threads * PREFIX_FANOUT {
+    loop {
+        if prefixes.is_empty() {
+            // No placement of the first `depth` regions survives: the whole
+            // instance is proven infeasible without spawning a thread.
+            return Ok(CombinatorialResult {
+                floorplan: None,
+                best_waste: None,
+                best_wirelength: None,
+                proven: true,
+                nodes: expansion_nodes,
+                solve_seconds: start.elapsed().as_secs_f64(),
+                cancelled: false,
+            });
+        }
+        if depth == order.len() || prefixes.len() >= threads * PREFIX_FANOUT {
+            break;
+        }
         if ctl.cancel.is_cancelled() {
             return Ok(CombinatorialResult {
                 floorplan: None,
@@ -667,7 +756,10 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
         let mut next = Vec::new();
         for p in &prefixes {
             for (ci, cand) in candidates[region].iter().enumerate() {
-                if p.placed.iter().flatten().any(|r| r.overlaps(&cand.rect)) {
+                let area = p.area + cand.rect.area();
+                if pruning.over_capacity(depth + 1, area)
+                    || p.placed.iter().flatten().any(|r| r.overlaps(&cand.rect))
+                {
                     continue;
                 }
                 let mut placed = p.placed.clone();
@@ -676,22 +768,9 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                 placed_ci[region] = ci;
                 if fc_still_possible(problem, &tables, &placed, &placed_ci) {
                     expansion_nodes += 1;
-                    next.push(Prefix { placed, placed_ci, waste: p.waste + cand.waste });
+                    next.push(Prefix { placed, placed_ci, waste: p.waste + cand.waste, area });
                 }
             }
-        }
-        if next.is_empty() {
-            // No placement of the first `depth + 1` regions survives: the
-            // whole instance is proven infeasible without spawning a thread.
-            return Ok(CombinatorialResult {
-                floorplan: None,
-                best_waste: None,
-                best_wirelength: None,
-                proven: true,
-                nodes: expansion_nodes,
-                solve_seconds: start.elapsed().as_secs_f64(),
-                cancelled: false,
-            });
         }
         prefixes = next;
         depth += 1;
@@ -717,7 +796,7 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
             let shared = &shared;
             let order = &order;
             let candidates = &candidates;
-            let min_waste = &min_waste;
+            let pruning = &pruning;
             let tables = &tables;
             s.spawn(move || {
                 let mut ctx = SearchCtx {
@@ -737,7 +816,7 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                     placed_ci: vec![0; n],
                     occupied: Vec::new(),
                     best: None,
-                    min_waste,
+                    pruning,
                     shared: Some(shared),
                 };
                 for p in assigned {
@@ -746,7 +825,7 @@ fn solve_parallel(parts: SolveParts<'_>) -> Result<CombinatorialResult, Floorpla
                     }
                     ctx.placed.clone_from(&p.placed);
                     ctx.placed_ci.clone_from(&p.placed_ci);
-                    ctx.dfs(depth, p.waste);
+                    ctx.dfs(depth, p.waste, p.area);
                     if ctx.aborted {
                         break;
                     }
@@ -840,6 +919,40 @@ mod tests {
         let res = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
         assert!(res.proven);
         assert!(res.floorplan.is_none());
+    }
+
+    #[test]
+    fn over_capacity_instances_are_proven_infeasible_at_the_root() {
+        let (mut p, clb, _, _) = small_problem();
+        // Three regions of 14 CLB tiles each cover at least 42 tiles of a
+        // 40-tile device: the capacity bound closes the root.
+        for name in ["A", "B", "C"] {
+            p.add_region(RegionSpec::new(name, vec![(clb, 14)]));
+        }
+        for threads in [1usize, 4] {
+            let cfg = CombinatorialConfig { threads, ..CombinatorialConfig::default() };
+            let res = solve_combinatorial(&p, &cfg).unwrap();
+            assert!(res.proven, "{threads} thread(s)");
+            assert!(res.floorplan.is_none(), "{threads} thread(s)");
+            assert_eq!(res.nodes, 1, "{threads} thread(s) must stop at the root");
+        }
+    }
+
+    #[test]
+    fn connection_free_problems_skip_the_wirelength_tie_break() {
+        let (mut p, clb, bram, dsp) = small_problem();
+        p.add_region(RegionSpec::new("A", vec![(clb, 3), (bram, 1)]));
+        p.add_region(RegionSpec::new("B", vec![(clb, 2), (dsp, 1)]));
+        p.add_region(RegionSpec::new("C", vec![(clb, 2)]));
+        let with_wl = solve_combinatorial(&p, &CombinatorialConfig::default()).unwrap();
+        let without_wl = solve_combinatorial(
+            &p,
+            &CombinatorialConfig { optimize_wirelength: false, ..CombinatorialConfig::default() },
+        )
+        .unwrap();
+        assert!(with_wl.proven && without_wl.proven);
+        assert_eq!(with_wl.floorplan, without_wl.floorplan);
+        assert_eq!(with_wl.nodes, without_wl.nodes);
     }
 
     #[test]

@@ -16,16 +16,23 @@
 //! * the `SimReport` v2 document round-trips through its jsonio
 //!   reader/writer, and v1 documents stay readable.
 //!
-//! Regenerate the golden file with:
+//! A second golden, `tests/golden/dense.sim.json`, pins a dense
+//! 400-module stream on the 20x2 high-utilisation device: its report
+//! records 148 escalations to the `combinatorial` engine (most of them
+//! infeasibility proofs), so any change in what the engine returns for
+//! them (waste, proof, rectangles) shows up as a byte diff.
+//!
+//! Regenerate the golden files with:
 //!
 //! ```text
 //! cargo test --test runtime_sim -- --ignored regenerate_golden_scenario
+//! cargo test --test runtime_sim -- --ignored regenerate_dense_golden
 //! ```
 
 use relocfp::runtime::{
     read_scenario, read_sim_report, simulate, write_scenario, DefragPolicy, OnlineConfig, SimReport,
 };
-use rfp_workloads::{smoke_scenario, smoke_scenario_json};
+use rfp_workloads::{smoke_scenario, smoke_scenario_json, DefragWorkloadSpec};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -41,6 +48,42 @@ fn run(policy: DefragPolicy) -> SimReport {
     let scenario = read_scenario(&golden()).expect("golden scenario parses");
     let config = OnlineConfig { policy, ..OnlineConfig::default() };
     simulate(&scenario, &config).expect("golden scenario simulates")
+}
+
+fn dense_golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/dense.sim.json")
+}
+
+/// The dense-stream report under the aware policy and the `combinatorial`
+/// engine, with its wall-clock columns zeroed so the document is
+/// deterministic.
+fn dense_report_json() -> String {
+    let spec = DefragWorkloadSpec { n_modules: 400, ..DefragWorkloadSpec::high_utilisation(0) };
+    let config = OnlineConfig {
+        engine: "combinatorial".to_string(),
+        policy: DefragPolicy::RelocationAware,
+        ..OnlineConfig::default()
+    };
+    let mut report = simulate(&spec.generate(), &config).expect("dense stream simulates");
+    report.wall_seconds = 0.0;
+    for e in &mut report.events {
+        e.latency_seconds = 0.0;
+    }
+    report.to_json()
+}
+
+#[test]
+fn dense_stream_escalations_match_the_golden_report() {
+    let golden = std::fs::read_to_string(dense_golden_path())
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dense_golden_path().display()));
+    let report = dense_report_json();
+    let escalations = read_sim_report(&report).expect("dense report parses").escalations();
+    assert!(escalations >= 100, "the dense stream must escalate often, got {escalations}");
+    assert!(
+        report == golden,
+        "tests/golden/dense.sim.json drifted; regenerate with \
+         `cargo test --test runtime_sim -- --ignored regenerate_dense_golden`"
+    );
 }
 
 #[test]
@@ -180,4 +223,13 @@ fn sim_reports_round_trip_through_the_v2_reader() {
 #[ignore]
 fn regenerate_golden_scenario() {
     std::fs::write(golden_path(), smoke_scenario_json()).expect("write golden scenario");
+}
+
+/// Rewrites the dense-stream report golden. Run explicitly after an
+/// intentional change to the simulator, the workload generator or the
+/// escalation engine's results.
+#[test]
+#[ignore]
+fn regenerate_dense_golden() {
+    std::fs::write(dense_golden_path(), dense_report_json()).expect("write dense golden");
 }
